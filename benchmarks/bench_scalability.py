@@ -30,11 +30,14 @@ Axes that can be compared:
   the benchmark exits non-zero if they do not.
 * **sharded vs single-queue engine** (``--num-shards 1,2,4,8``): the
   coordinator/device-shard engine (``repro/sim/shard.py``) at each listed
-  shard count against the ``num_shards=1`` single-queue reference.  Both
-  the decision hash *and* a metrics digest (counters + per-job JCTs) must
-  match for every shard count — the sharded engine promises bit-identical
-  runs for any shard layout — and the benchmark exits non-zero on any
-  divergence (the CI ``shard-identity`` gate).
+  shard count against the ``num_shards=1`` reference, which (like every
+  scalar single-shard cell here) runs the single-queue oracle engine
+  (``SimulationConfig(sharded_dispatch=False)``), not the default
+  coordinator/shard engine.  Both the decision hash *and* a metrics
+  digest (counters + per-job JCTs) must match for every shard count — the
+  sharded engine promises bit-identical runs for any shard layout — and
+  the benchmark exits non-zero on any divergence (the CI
+  ``shard-identity`` gate).
 * **vectorized vs scalar hot path** (``--vectorized-compare``): the
   struct-of-arrays engine (``SimulationConfig(vectorized_dispatch=True)``,
   ``repro/sim/vector.py``) at every listed shard count against the scalar
@@ -328,6 +331,12 @@ def _run_cell_once(
         latency=LatencyConfig(),
         max_events=200_000_000,
         num_shards=num_shards,
+        # Scalar single-shard cells are the references of the identity
+        # gates: they run the single-queue oracle engine, not the default
+        # coordinator/shard engine.
+        sharded_dispatch=(
+            False if num_shards == 1 and not vectorized else None
+        ),
         vectorized_dispatch=vectorized,
         checkpoint_interval=checkpoint_interval,
         batched_assign=batched,

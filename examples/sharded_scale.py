@@ -55,7 +55,7 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
 
 
 def run_once(devices, trace, workload, horizon: float, seed: int,
-             num_shards: int):
+             num_shards: int, single_queue: bool = False):
     policy = make_policy("venn", seed=seed)
     config = SimulationConfig(
         horizon=horizon,
@@ -63,7 +63,8 @@ def run_once(devices, trace, workload, horizon: float, seed: int,
         latency=LatencyConfig(),
         max_events=500_000_000,
         num_shards=num_shards,
-        profile_shards=num_shards > 1,
+        sharded_dispatch=False if single_queue else None,
+        profile_shards=not single_queue,
     )
     sim = Simulator(devices, trace, workload, policy, config)
     t0 = time.perf_counter()
@@ -121,7 +122,8 @@ def main() -> int:
     if args.verify:
         print("\nverifying against the single-queue engine ...")
         _, single, single_wall = run_once(
-            devices, trace, workload, horizon, args.seed, 1
+            devices, trace, workload, horizon, args.seed, 1,
+            single_queue=True,
         )
         identical = (
             single.total_checkins == metrics.total_checkins

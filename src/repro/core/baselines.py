@@ -51,8 +51,10 @@ class _OrderedPolicy(BasePolicy):
         candidates = self.eligible_open_requests(device)
         if not candidates:
             return None
-        candidates.sort(key=lambda r: (self.job_priority(r.job_id, now), r.job_id))
-        return candidates[0]
+        # ``job_id`` is unique, so the key has no ties and ``min`` picks
+        # exactly the head of the fully sorted order.
+        priority = self.job_priority
+        return min(candidates, key=lambda r: (priority(r.job_id, now), r.job_id))
 
 
 class FIFOPolicy(_OrderedPolicy):

@@ -272,22 +272,27 @@ class BasePolicy(SchedulingPolicy):
         work instead of O(#jobs) predicate evaluations.
         """
         out: List[ResourceRequest] = []
-        # Keyed by the (frozen, hashable) requirement object itself, so two
-        # jobs whose requirements merely share a name never alias.
-        eligible_memo: Dict[EligibilityRequirement, bool] = {}
+        device_id = device.device_id
+        jobs = self.jobs
+        # Keyed by requirement identity: two jobs whose requirements merely
+        # share a name never alias, and a probe costs an ``id`` instead of
+        # the frozen dataclass's field-tuple hash.  Every requirement stays
+        # referenced by its job for the whole scan, so ids cannot collide.
+        eligible_memo: Dict[int, bool] = {}
         for job_id, request in self.open_requests.items():
             if request.remaining_demand <= 0:
                 continue
-            if request.is_assigned(device.device_id):
+            if device_id in request.assigned_ids:
                 # One device participates at most once per round request.
                 continue
-            job = self.jobs.get(job_id)
+            job = jobs.get(job_id)
             if job is None:
                 continue
             requirement = job.requirement
-            ok = eligible_memo.get(requirement)
+            key = id(requirement)
+            ok = eligible_memo.get(key)
             if ok is None:
-                ok = eligible_memo[requirement] = requirement.is_eligible(device)
+                ok = eligible_memo[key] = requirement.is_eligible(device)
             if ok:
                 out.append(request)
         return out

@@ -76,10 +76,11 @@ class ExperimentConfig:
     #: ``"full"`` (from-scratch rebuild on every trigger — the oracle).
     #: Forwarded to every ``venn*`` policy built for this experiment.
     plan_maintenance: str = "incremental"
-    #: Number of device shards of the simulation engine (1 = the in-process
-    #: single-queue engine; N > 1 = the coordinator/shard engine, with
-    #: decisions and metrics bit-identical for any value).  Forwarded to
-    #: ``SimulationConfig.num_shards``.
+    #: Number of device shards of the coordinator/shard engine, the default
+    #: engine at every value (decisions and metrics bit-identical for any
+    #: value).  Forwarded to ``SimulationConfig.num_shards``; the
+    #: single-queue oracle engine is reached through
+    #: ``simulation=SimulationConfig(sharded_dispatch=False)``.
     num_shards: int = 1
     #: Run the engine's vectorized hot path (struct-of-arrays device state +
     #: numpy batch kernels).  Decisions and metrics are bit-identical to the

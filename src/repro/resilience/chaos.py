@@ -13,6 +13,10 @@ exact-resume contract (``docs/RESILIENCE.md``): for each engine mode it
    resumed run's decision hash and metrics digest are bit-identical to the
    reference.
 
+The engine modes are ``single`` (the single-queue oracle engine, one
+leg), ``scalar`` and ``vectorized`` (the coordinator/shard engine, one leg
+per ``--shards`` count).
+
 Any divergence prints the first divergent decision record (index, time,
 device, job — both runs' values) and fails the process, which is what the
 CI ``chaos-smoke`` job gates on.
@@ -47,6 +51,7 @@ def build_simulator(
     policy_name: str,
     num_shards: int,
     vectorized: bool,
+    single_queue: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_interval: Optional[int] = None,
     checkpoint_sink=None,
@@ -55,12 +60,14 @@ def build_simulator(
 
     The environment (devices, availability, workload) is rebuilt from the
     config's seed each call — bit-identical across calls, like a process
-    restart re-reading its inputs.
+    restart re-reading its inputs.  ``single_queue`` runs the single-queue
+    oracle engine instead of the default coordinator/shard engine.
     """
     sim_cfg = replace(
         cfg.simulation,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
+        sharded_dispatch=False if single_queue else None,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
     )
@@ -91,17 +98,22 @@ def run_mode(
     checkpoint_every: int,
     rng: np.random.Generator,
     verbose: bool = False,
+    single_queue: bool = False,
 ) -> List[str]:
     """Kill-and-resume one engine mode at ``crashes`` random events.
 
     Returns a list of failure descriptions (empty = the mode passed).
     """
-    label = f"shards={num_shards} {'vec' if vectorized else 'scalar'}"
+    if single_queue:
+        label = "single-queue"
+    else:
+        label = f"shards={num_shards} {'vec' if vectorized else 'scalar'}"
     reference = build_simulator(
         cfg,
         policy_name=policy_name,
         num_shards=num_shards,
         vectorized=vectorized,
+        single_queue=single_queue,
     )
     ref_metrics = reference.run()
     ref_decisions = reference.policy.decisions
@@ -121,6 +133,7 @@ def run_mode(
             policy_name=policy_name,
             num_shards=num_shards,
             vectorized=vectorized,
+            single_queue=single_queue,
             fault_plan=FaultPlan.crash_at(at_event),
             checkpoint_interval=checkpoint_every,
             checkpoint_sink=store,
@@ -195,8 +208,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--modes",
-        default="scalar,vectorized",
-        help="engine modes: scalar, vectorized, or both (default both)",
+        default="single,scalar,vectorized",
+        help="engine modes: single (the single-queue oracle engine, run "
+        "once whatever --shards says), scalar and vectorized (the "
+        "coordinator/shard engine at every --shards count); default all "
+        "three",
     )
     parser.add_argument(
         "--preset",
@@ -225,28 +241,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not shard_counts or min(shard_counts) < 1:
         parser.error("--shards needs positive integers")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    unknown = set(modes) - {"scalar", "vectorized"}
+    unknown = set(modes) - {"single", "scalar", "vectorized"}
     if unknown or not modes:
-        parser.error("--modes takes 'scalar' and/or 'vectorized'")
+        parser.error("--modes takes 'single', 'scalar' and/or 'vectorized'")
 
     cfg = get_config(args.preset, seed=args.seed)
     rng = np.random.default_rng(args.crash_seed)
     t0 = time.perf_counter()
+    legs = [(1, "single")] if "single" in modes else []
+    legs += [
+        (num_shards, mode)
+        for num_shards in shard_counts
+        for mode in modes
+        if mode != "single"
+    ]
     failures: List[str] = []
-    for num_shards in shard_counts:
-        for mode in modes:
-            failures.extend(
-                run_mode(
-                    cfg,
-                    policy_name=args.policy,
-                    num_shards=num_shards,
-                    vectorized=(mode == "vectorized"),
-                    crashes=args.crashes,
-                    checkpoint_every=args.checkpoint_every,
-                    rng=rng,
-                    verbose=args.verbose,
-                )
+    for num_shards, mode in legs:
+        failures.extend(
+            run_mode(
+                cfg,
+                policy_name=args.policy,
+                num_shards=num_shards,
+                vectorized=(mode == "vectorized"),
+                crashes=args.crashes,
+                checkpoint_every=args.checkpoint_every,
+                rng=rng,
+                verbose=args.verbose,
+                single_queue=(mode == "single"),
             )
+        )
     elapsed = time.perf_counter() - t0
     if failures:
         print(f"\nchaos: {len(failures)} divergent resume(s) in {elapsed:.1f}s")

@@ -203,8 +203,9 @@ class FaultInjector:
                 if not sim._sharded:
                     raise ValueError(
                         f"{spec.kind} faults need the coordinator/shard "
-                        "engine (SimulationConfig(num_shards=N) or "
-                        "sharded_dispatch=True)"
+                        "engine (the default); this run is on the "
+                        "single-queue engine (sharded_dispatch=False or "
+                        "indexed_dispatch=False)"
                     )
                 if spec.shard >= sim._num_shards:
                     raise ValueError(

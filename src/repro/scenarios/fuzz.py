@@ -15,7 +15,8 @@ the repo relies on:
   transform-free twin environment rather than asserting a blanket bound);
 * a short simulation produces finite, non-negative metrics (JCTs,
   round-completion times, rates);
-* the metrics row is **byte-identical across shard counts** — and, on
+* the metrics row is **byte-identical across shard counts** and to the
+  single-queue oracle engine's row — and, on
   request, across sweep worker counts and across the scalar vs vectorized
   dispatch paths (``--vectorized`` twin mode) — extending the determinism
   contract of ``docs/ARCHITECTURE.md`` to every sampled composition.
@@ -252,11 +253,22 @@ def check_scenario(
                 f"vectorized identity violated at num_shards={num_shards}: "
                 f"scalar vs vectorized produced different metrics rows"
             )
-    reference = rows[shards[0]]
-    for num_shards in shards[1:]:
+    # The reference row comes from the single-queue oracle engine; every
+    # shard count of the coordinator/shard engine must reproduce it.
+    oracle = base.with_shards(shards[0])
+    oracle = replace(
+        oracle, simulation=replace(oracle.simulation, sharded_dispatch=False)
+    )
+    reference = json.dumps(
+        metrics_row(
+            spec.name, policy, run_policy(spec.build_environment(oracle), policy)
+        ),
+        sort_keys=True,
+    )
+    for num_shards in shards:
         assert rows[num_shards] == reference, (
-            f"shard-count identity violated: num_shards={shards[0]} vs "
-            f"{num_shards} produced different metrics rows"
+            f"shard-count identity violated: single-queue engine vs "
+            f"num_shards={num_shards} produced different metrics rows"
         )
     if check_workers:
         check_worker_identity(spec, policy=policy)

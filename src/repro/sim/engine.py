@@ -22,10 +22,21 @@ Devices obey the availability trace (they can only be assigned while online,
 and drop out when their session ends mid-task) and, by default, the paper's
 one-job-per-day realism constraint.
 
-Check-in fast path (million-device traces)
-------------------------------------------
+Engines: the streamed default and the single-queue oracle
+----------------------------------------------------------
 
-With ``SimulationConfig(indexed_dispatch=True)`` — the default — the engine
+A default ``SimulationConfig()`` runs the coordinator/shard engine with
+one shard (see below): static availability events stream from pre-sorted
+arrays merged with a small dynamic heap.  The single-queue engine — every
+event, static or dynamic, in one global heap — is the reference the
+identity tests compare against; it runs only under
+``sharded_dispatch=False`` or ``indexed_dispatch=False`` (the legacy scan,
+which is single-queue only).  Both engines make bit-identical decisions.
+
+Single-queue check-in fast path
+-------------------------------
+
+With ``indexed_dispatch=True`` — the default — the single-queue engine
 runs an indexed hot path sized for 10^5–10^6-device traces:
 
 * same-timestamp device check-ins are popped from the event heap as one
@@ -47,14 +58,14 @@ runs an indexed hot path sized for 10^5–10^6-device traces:
 offer devices to the policy in ascending device-id order and produce
 identical assignment sequences; the golden regression tests pin this.
 
-Coordinator/shard engine (multi-core single-scenario runs)
-----------------------------------------------------------
+Coordinator/shard engine (the default)
+--------------------------------------
 
-``SimulationConfig(num_shards=N)`` with ``N > 1`` splits the engine into a
-coordinator (scheduler state, plan maintenance, request lifecycle, the
-global decision order) and N device shards (:mod:`repro.sim.shard`), each
-owning a partition of device physics: availability event streams as sorted
-arrays, response queues, idle pools with daily-budget parking, precomputed
+``SimulationConfig(num_shards=N)`` splits the engine into a coordinator
+(scheduler state, plan maintenance, request lifecycle, the global decision
+order) and N device shards (:mod:`repro.sim.shard`), each owning a
+partition of device physics: availability event streams as sorted arrays,
+response queues, idle pools with daily-budget parking, precomputed
 eligibility signatures and per-shard metrics counters.  Events merge by
 ``(time, seq)`` with the exact sequence enumeration of the single-queue
 engine, so **decisions and metrics are bit-identical for any shard count**
@@ -159,19 +170,21 @@ class SimulationConfig:
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     #: Use the indexed check-in fast path (batched check-ins, pending-request
     #: pool, signature-bucketed idle pool).  ``False`` restores the seed's
-    #: linear scans; scheduling decisions are identical either way.
+    #: linear scans, which run on the single-queue engine only (so it needs
+    #: ``num_shards=1``); scheduling decisions are identical either way.
     indexed_dispatch: bool = True
-    #: Number of device shards.  ``1`` (the default) runs the in-process
-    #: single-queue engine; ``N > 1`` runs the coordinator/shard engine of
+    #: Number of device shards of the coordinator/shard engine of
     #: :mod:`repro.sim.shard` — device physics partitioned across N shards,
     #: decisions still made centrally, and **bit-identical decisions and
     #: metrics for any shard count** (enforced by the shard-identity tests
-    #: and the benchmark's decision hash).
+    #: and the benchmark's decision hash).  ``1`` (the default) streams
+    #: every availability event from one shard's sorted arrays.
     num_shards: int = 1
-    #: Force the sharded engine on (``True``) or off (``False``) regardless
-    #: of ``num_shards``; ``None`` selects it automatically when
-    #: ``num_shards > 1``.  Mainly for tests that exercise the sharded path
-    #: with a single shard.
+    #: Engine selection.  ``None`` (the default) runs the coordinator/shard
+    #: engine, unless ``indexed_dispatch=False`` asks for the legacy scan.
+    #: ``False`` runs the single-queue engine — every event in one global
+    #: heap, the oracle the identity tests compare against — whatever
+    #: ``num_shards`` says; ``True`` forces the coordinator/shard engine.
     sharded_dispatch: Optional[bool] = None
     #: Run the vectorized hot path: struct-of-arrays device state
     #: (:mod:`repro.sim.vector`), batched fold kernels for static check-in/
@@ -243,7 +256,8 @@ class SimulationConfig:
         if self.use_sharded_engine and not self.indexed_dispatch:
             raise ValueError(
                 "the sharded engine subsumes the indexed fast path; "
-                "indexed_dispatch=False is only meaningful with num_shards=1"
+                "indexed_dispatch=False runs the single-queue engine and "
+                "is only meaningful with num_shards=1"
             )
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
@@ -257,12 +271,17 @@ class SimulationConfig:
 
     @property
     def use_sharded_engine(self) -> bool:
-        """Whether runs use the coordinator/shard engine."""
+        """Whether runs use the coordinator/shard engine.
+
+        True by default; the single-queue oracle runs under
+        ``sharded_dispatch=False`` or the legacy scan
+        (``indexed_dispatch=False``, single shard).
+        """
         if self.vectorized_dispatch:
             return True
         if self.sharded_dispatch is not None:
             return bool(self.sharded_dispatch)
-        return self.num_shards > 1
+        return self.indexed_dispatch or self.num_shards > 1
 
 
 #: Sentinel for ``Simulator.resume``: keep the snapshot's pickled fault
@@ -508,6 +527,8 @@ class Simulator:
             return self._metrics
         if self._sharded:
             return self._run_sharded()
+        # The single-queue reference engine (``sharded_dispatch=False`` or
+        # the legacy scan): every event, static or dynamic, in one heap.
         if not self._started:
             self._started = True
             self._schedule_initial_events()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import (
     POLICY_NAMES,
@@ -15,7 +19,11 @@ from repro.core.baselines import (
     UniformRandomPolicy,
     make_policy,
 )
-from repro.core.requirements import GENERAL, HIGH_PERFORMANCE
+from repro.core.requirements import (
+    GENERAL,
+    HIGH_PERFORMANCE,
+    EligibilityRequirement,
+)
 from repro.core.scheduler import VennScheduler
 from repro.core.types import ResourceRequest
 from tests.conftest import make_device, make_job
@@ -149,6 +157,79 @@ class TestOrderingPolicies:
         first = policy.assign(make_device(device_id=0), 1.0)
         second = policy.assign(make_device(device_id=1), 1.1)
         assert first.job_id == second.job_id
+
+
+def brute_force_choice(policy, device, now):
+    """Reference for ``_OrderedPolicy.assign``: filter every open request
+    with a direct eligibility check, fully sort, take the head."""
+    eligible = [
+        request
+        for job_id, request in policy.open_requests.items()
+        if request.remaining_demand > 0
+        and device.device_id not in request.assigned
+        and job_id in policy.jobs
+        and policy.jobs[job_id].requirement.is_eligible(device)
+    ]
+    eligible.sort(key=lambda r: (policy.job_priority(r.job_id, now), r.job_id))
+    return eligible[0] if eligible else None
+
+
+#: Requirement thresholds; each job builds its own object, so equal
+#: requirements are distinct objects (and some distinct ones share a name).
+THRESHOLDS = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.6), (0.5, 0.5)]
+
+
+class TestOrderedPolicyMatchesBruteForce:
+    @given(
+        policy_name=st.sampled_from(["random", "fifo", "srsf"]),
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, len(THRESHOLDS) - 1),  # requirement
+                st.integers(1, 4),  # demand per round
+                st.integers(1, 3),  # rounds
+                st.sampled_from([0.0, 5.0, 10.0]),  # arrival (ties)
+                st.integers(0, 4),  # devices already assigned
+                st.booleans(),  # probe device already assigned
+            ),
+            min_size=0,
+            max_size=8,
+        ),
+        finished=st.sets(st.integers(0, 7), max_size=3),
+        probe=st.tuples(
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_choice_equals_sorted_reference(
+        self, policy_name, jobs, finished, probe, seed
+    ):
+        policy = make_policy(policy_name, seed=seed)
+        device = make_device(device_id=99, cpu=probe[0], mem=probe[1])
+        # Open requests out of job-id order so the job-id tie-break matters.
+        opened = list(enumerate(jobs))
+        random.Random(seed).shuffle(opened)
+        for job_id, (req, demand, rounds, arrival, taken, probe_taken) in (
+            opened
+        ):
+            cpu, mem = THRESHOLDS[req]
+            requirement = EligibilityRequirement(
+                name=f"r{req % 2}", min_cpu=cpu, min_memory=mem
+            )
+            request = open_request(
+                policy,
+                make_job(job_id, requirement=requirement, demand=demand,
+                         rounds=rounds, arrival=arrival),
+                now=arrival,
+            )
+            if probe_taken:
+                request.record_assignment(device.device_id, arrival)
+            for other in range(min(taken, request.remaining_demand)):
+                request.record_assignment(other, arrival)
+        for job_id in finished:
+            policy.on_job_finished(job_id, 20.0)
+        expected = brute_force_choice(policy, device, 30.0)
+        assert policy.assign(device, 30.0) is expected
 
 
 class TestRandomScatterPolicies:

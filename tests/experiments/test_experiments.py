@@ -232,7 +232,12 @@ class TestNumShardsPlumbing:
         from repro.experiments.environment import build_environment
 
         small = replace(quick_config(seed=3).with_jobs(4), num_devices=200)
-        env_single = build_environment(small)
+        env_single = build_environment(
+            replace(
+                small,
+                simulation=replace(small.simulation, sharded_dispatch=False),
+            )
+        )
         env_sharded = build_environment(small.with_shards(3))
         single = run_policy(env_single, "venn")
         sharded = run_policy(env_sharded, "venn")

@@ -4,8 +4,9 @@ One fully seeded co-sim run — the ``non_iid_contention`` scenario on a
 micro quick-preset environment under the Venn scheduler — is frozen as a
 JSON fixture: per-job accuracy curves with their simulated completion
 times, the per-target time-to-accuracy map, and the run's decision and
-accuracy hashes.  The run is replayed on the single-queue engine and on
-the coordinator/shard engine at ``num_shards ∈ {2, 4}``, and every replay
+accuracy hashes.  The fixture run uses the single-queue oracle engine
+(``sharded_dispatch=False``); it is replayed on the coordinator/shard
+engine — the default — at ``num_shards ∈ {1, 2, 4}``, and every replay
 must be **byte-identical** to the fixture — the co-sim extension of the
 shard-identity contract PR 4 pinned for scheduling decisions.
 
@@ -36,11 +37,17 @@ SEED = 11
 SHARD_COUNTS = (1, 2, 4)
 
 
-def cosim_snapshot(num_shards: int, vectorized: bool = False) -> dict:
+def cosim_snapshot(
+    num_shards: int, vectorized: bool = False, single_queue: bool = False
+) -> dict:
     """Run the pinned co-sim scenario and serialise its observable output."""
     base = replace(
         quick_config(seed=SEED), num_devices=600, num_jobs=8, horizon=DAY
     ).with_shards(num_shards).with_vectorized(vectorized)
+    if single_queue:
+        base = replace(
+            base, simulation=replace(base.simulation, sharded_dispatch=False)
+        )
     spec = get_scenario(SCENARIO)
     env = spec.build_environment(base)
     config = smoke_cosim_config().with_overrides(spec.cosim)
@@ -84,7 +91,9 @@ def cosim_snapshot(num_shards: int, vectorized: bool = False) -> dict:
 
 class TestGoldenCoSim:
     def test_matches_frozen_fixture(self):
-        snapshot = json.loads(json.dumps(cosim_snapshot(num_shards=1)))
+        snapshot = json.loads(
+            json.dumps(cosim_snapshot(num_shards=1, single_queue=True))
+        )
         if os.environ.get("REGEN_GOLDEN"):
             os.makedirs(FIXTURE_DIR, exist_ok=True)
             with open(FIXTURE_PATH, "w") as fh:
@@ -111,7 +120,7 @@ class TestGoldenCoSim:
             for t in per_job.values()
         )
 
-    @pytest.mark.parametrize("num_shards", [s for s in SHARD_COUNTS if s > 1])
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_sharded_replay_is_byte_identical(self, num_shards):
         """The coordinator/shard engine must land on the frozen fixture for
         every shard count — accuracy curves included, since the trainer only

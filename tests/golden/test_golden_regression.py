@@ -17,7 +17,9 @@ both the indexed fast path and the ``--legacy-scan`` path, and in both
 plan-maintenance modes (incremental deltas vs the full ``build_plan``
 oracle), and require *bit-identical* outcomes — the acceptance evidence
 that the ``AtomIndex`` and ``PlanDelta`` machinery change performance, not
-decisions.
+decisions.  The frozen-fixture run uses the single-queue oracle engine
+(``sharded_dispatch=False``); the coordinator/shard engine, the default,
+must land on the same fixture.
 
 Regenerate fixtures intentionally with::
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Optional
 
 import pytest
 
@@ -152,6 +155,7 @@ def job_request(job: JobSpec):
 def simulation_snapshot(
     name: str, use_index: bool, plan_maintenance: str = "incremental",
     num_shards: int = 1, vectorized: bool = False,
+    sharded_dispatch: Optional[bool] = None,
 ) -> dict:
     devices, trace, jobs, horizon = scenario(name)
     policy = VennScheduler(
@@ -164,6 +168,7 @@ def simulation_snapshot(
         indexed_dispatch=use_index,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
+        sharded_dispatch=sharded_dispatch,
         # The contended scenario keeps the paper's one-job-per-day realism
         # constraint (it is part of what makes it contended); the
         # uncontended one lifts it so devices freely serve consecutive
@@ -184,9 +189,12 @@ def simulation_snapshot(
 
 
 def golden(name: str) -> dict:
+    """The fixture's content, from the single-queue oracle engine."""
     return {
         "plan": plan_snapshot(name, use_index=True),
-        "jobs": simulation_snapshot(name, use_index=True),
+        "jobs": simulation_snapshot(
+            name, use_index=True, sharded_dispatch=False
+        ),
     }
 
 

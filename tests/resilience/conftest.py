@@ -59,6 +59,7 @@ def build_sim(
     *,
     num_shards: int = 1,
     vectorized: bool = False,
+    sharded_dispatch: Optional[bool] = None,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_interval: Optional[int] = None,
     checkpoint_sink=None,
@@ -77,6 +78,7 @@ def build_sim(
         enforce_daily_limit=enforce_daily_limit,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
+        sharded_dispatch=sharded_dispatch,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
     )

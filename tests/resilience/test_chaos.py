@@ -2,7 +2,8 @@
 
 These run the real ``repro.resilience.chaos`` entry point on the quick
 preset with small crash counts — the CI ``chaos-smoke`` job runs the full
-20-crash x {1,2,4} shards x {scalar,vectorized} matrix.
+20-crash matrix: the single-queue leg plus {1,2,4} shards x
+{scalar,vectorized}.
 """
 
 from __future__ import annotations
@@ -81,6 +82,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert rc == 0
         assert "bit-identical" in captured.out
+
+    def test_single_mode_runs_one_single_queue_leg(self, capsys):
+        rc = main(
+            [
+                "--crashes", "1",
+                "--shards", "1,2",
+                "--modes", "single",
+                "--preset", "quick",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("kill-and-resume runs over") == 1
+        assert out.startswith("single-queue:")
 
     def test_argument_validation(self):
         with pytest.raises(SystemExit):

@@ -75,10 +75,20 @@ class TestFaultPlan:
 class TestValidation:
     def test_shard_fault_on_single_queue_engine_rejected(self):
         sim = build_sim(
+            sharded_dispatch=False,
+            fault_plan=FaultPlan.kill_shard(0, at_event=5, duration=100.0),
+        )
+        with pytest.raises(ValueError, match="sharded_dispatch=False"):
+            sim.run()
+
+    def test_shard_fault_accepted_under_default_config(self):
+        """The default engine is the coordinator/shard engine, so a
+        shard-0 fault needs no engine option."""
+        sim = build_sim(
             fault_plan=FaultPlan.kill_shard(0, at_event=5, duration=100.0)
         )
-        with pytest.raises(ValueError, match="shard"):
-            sim.run()
+        sim.run()
+        assert sim.fault_stats()["shards_killed"] == 1
 
     def test_shard_index_out_of_range_rejected(self):
         sim = build_sim(

@@ -3,7 +3,8 @@
 The load-bearing property (docs/RESILIENCE.md): a run killed at any event
 boundary and resumed from any earlier snapshot finishes with the same
 decision sequence and the same metrics as its uninterrupted twin — on the
-single-queue engine, the sharded engine and the vectorized hot path alike.
+single-queue oracle, the streamed default engine, the sharded engine and
+the vectorized hot path alike.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.sim.engine import Simulator
 from tests.resilience.conftest import build_sim, kill_and_resume
 
 ENGINE_MODES = [
+    pytest.param({"sharded_dispatch": False}, id="single-queue"),
     pytest.param({}, id="scalar"),
     pytest.param({"num_shards": 2}, id="sharded"),
     pytest.param({"num_shards": 2, "vectorized": True}, id="vectorized"),

@@ -281,8 +281,8 @@ class TestDayRolloverGoldenTrace:
       as "tomorrow", so the check-in is immediately dispatchable and round
       1 completes at t=86470.
 
-    Every engine (single-queue, sharded, vectorized) must reproduce the
-    same golden timings.
+    Every engine (the single-queue oracle, the streamed default, sharded,
+    vectorized) must reproduce the same golden timings.
     """
 
     HORIZON = 2 * 86400.0
@@ -318,15 +318,17 @@ class TestDayRolloverGoldenTrace:
     def test_single_queue_engine(self):
         devices, trace, jobs = self._build()
         self._assert_golden(
-            run_simulation(devices, trace, jobs, FIFOPolicy(), self._config())
+            run_simulation(devices, trace, jobs, FIFOPolicy(),
+                           self._config(sharded_dispatch=False))
         )
 
     def test_sharded_engine(self):
         devices, trace, jobs = self._build()
-        self._assert_golden(
-            run_simulation(devices, trace, jobs, FIFOPolicy(),
-                           self._config(sharded_dispatch=True))
-        )
+        for overrides in ({}, {"num_shards": 2}):
+            self._assert_golden(
+                run_simulation(devices, trace, jobs, FIFOPolicy(),
+                               self._config(**overrides))
+            )
 
     def test_vectorized_engine(self):
         devices, trace, jobs = self._build()
@@ -347,7 +349,7 @@ class TestDayRolloverGoldenTrace:
         ])
         job = make_job(job_id=1, demand=1, rounds=2, deadline=200_000.0,
                        base_task_duration=60.0)
-        for overrides in ({}, {"sharded_dispatch": True},
+        for overrides in ({"sharded_dispatch": False}, {},
                           {"vectorized_dispatch": True}):
             metrics = run_simulation(devices, trace, [job],
                                      FIFOPolicy(), self._config(**overrides))

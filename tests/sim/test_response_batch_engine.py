@@ -12,8 +12,8 @@ The file also pins the response/abort/refund bugfix sweep:
 * **Refund symmetry** — a device whose daily budget is refunded (round
   abort, or a straggler response on a closed request) must be
   *immediately* re-dispatchable at that same timestamp, identically on
-  every engine (single-queue indexed / legacy, sharded scalar, vectorized
-  batched / unbatched).
+  every engine (single-queue indexed / legacy, the streamed default,
+  sharded scalar, vectorized batched / unbatched).
 * **Request-table boundedness** — closed requests are evicted from
   ``Simulator._requests`` (and their job's ``request_history``) once the
   last in-flight response fires, so multi-round runs no longer retain
@@ -34,8 +34,9 @@ from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_t
 #: single-queue indexed engine is the reference; the response-cohort path
 #: is the last entry.
 ENGINES = {
-    "single-indexed": dict(),
+    "single-indexed": dict(sharded_dispatch=False),
     "single-legacy": dict(indexed=False),
+    "streamed": dict(),
     "sharded": dict(num_shards=2),
     "vec-unbatched": dict(vectorized=True, batched_response=False),
     "vec-batched": dict(vectorized=True, batched_response=True),
@@ -52,6 +53,7 @@ def run_engine(
     daily=False,
     seed=0,
     num_shards=1,
+    sharded_dispatch=None,
     vectorized=False,
     batched_response=True,
     indexed=True,
@@ -67,6 +69,7 @@ def run_engine(
         enforce_daily_limit=daily,
         indexed_dispatch=indexed,
         num_shards=num_shards,
+        sharded_dispatch=sharded_dispatch,
         vectorized_dispatch=vectorized,
         batched_response=batched_response,
         fault_plan=fault_plan,

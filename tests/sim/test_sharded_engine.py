@@ -116,12 +116,12 @@ class TestShardIdentity:
     @settings(max_examples=15, deadline=None)
     def test_twin_runs_bit_identical(self, env_seed, num_shards, policy_name,
                                      enforce_daily):
-        """Legacy engine vs sharded engine: same decisions, same metrics,
-        for hypothesis-chosen environments and shard counts."""
+        """Single-queue engine vs sharded engine: same decisions, same
+        metrics, for hypothesis-chosen environments and shard counts."""
         horizon = 40_000.0
         devices, trace, jobs = build_environment(env_seed, 60, 5, horizon)
         legacy = run_with_shards(
-            devices, trace, jobs, policy_name, 1, horizon,
+            devices, trace, jobs, policy_name, 1, horizon, forced=False,
             enforce_daily=enforce_daily,
         )
         sharded = run_with_shards(
@@ -133,11 +133,15 @@ class TestShardIdentity:
     def test_single_shard_forced_path_matches_legacy(self):
         horizon = 50_000.0
         devices, trace, jobs = build_environment(3, 80, 6, horizon)
-        legacy = run_with_shards(devices, trace, jobs, "venn", 1, horizon)
+        legacy = run_with_shards(
+            devices, trace, jobs, "venn", 1, horizon, forced=False
+        )
         forced = run_with_shards(
             devices, trace, jobs, "venn", 1, horizon, forced=True
         )
+        default = run_with_shards(devices, trace, jobs, "venn", 1, horizon)
         assert fingerprint(forced) == fingerprint(legacy)
+        assert fingerprint(default) == fingerprint(legacy)
 
     def test_shard_counts_agree_with_each_other(self):
         horizon = 50_000.0
@@ -155,7 +159,9 @@ class TestShardIdentity:
         the single-queue totals, job metrics are untouched."""
         horizon = 40_000.0
         devices, trace, jobs = build_environment(23, 70, 5, horizon)
-        legacy = run_with_shards(devices, trace, jobs, "venn", 1, horizon)
+        legacy = run_with_shards(
+            devices, trace, jobs, "venn", 1, horizon, forced=False
+        )
         sharded = run_with_shards(devices, trace, jobs, "venn", 3, horizon)
         assert sharded.total_checkins == legacy.total_checkins
         assert sharded.total_responses == legacy.total_responses
@@ -213,10 +219,49 @@ class TestShardedEngineMechanics:
     def test_sharded_requires_indexed_dispatch(self):
         with pytest.raises(ValueError, match="indexed_dispatch"):
             SimulationConfig(num_shards=2, indexed_dispatch=False)
+        with pytest.raises(ValueError, match="indexed_dispatch"):
+            SimulationConfig(sharded_dispatch=True, indexed_dispatch=False)
 
     def test_num_shards_validated(self):
         with pytest.raises(ValueError, match="num_shards"):
             SimulationConfig(num_shards=0)
+
+
+class TestEngineSelection:
+    """The coordinator/shard engine is the default; the single-queue engine
+    is the oracle, reached only through ``sharded_dispatch=False`` or the
+    legacy scan."""
+
+    def _run(self, **overrides):
+        horizon = 20_000.0
+        devices, trace, jobs = build_environment(5, 30, 3, horizon)
+        config = SimulationConfig(horizon=horizon, seed=17, **overrides)
+        sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
+                        config)
+        sim.run()
+        return sim
+
+    def test_default_config_runs_streamed_engine(self):
+        assert SimulationConfig().use_sharded_engine
+        sim = self._run()
+        assert len(sim.shard_stats()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sharded_dispatch": False},
+            {"indexed_dispatch": False},
+            {"num_shards": 3, "sharded_dispatch": False},
+        ],
+    )
+    def test_oracle_settings_run_single_queue_engine(self, overrides):
+        assert not SimulationConfig(**overrides).use_sharded_engine
+        sim = self._run(**overrides)
+        assert sim.shard_stats() == []
+
+    def test_forced_and_multi_shard_select_sharded_engine(self):
+        assert SimulationConfig(sharded_dispatch=True).use_sharded_engine
+        assert SimulationConfig(num_shards=2).use_sharded_engine
 
 
 class TestSignatureProvider:

@@ -276,7 +276,8 @@ def run_snapshot(policy_name, vectorized, num_shards=1):
         seed=9,
         latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
         num_shards=num_shards,
-        sharded_dispatch=True,
+        # The scalar twin runs the single-queue oracle engine.
+        sharded_dispatch=None if vectorized else False,
         vectorized_dispatch=vectorized,
         enforce_daily_limit=True,
     )
